@@ -89,8 +89,7 @@ else
   tsa_files=(
     src/common/thread_pool.cc
     src/serve/result_cache.cc
-    src/serve/query_service.cc
-    src/shard/sharded_query_service.cc
+    src/serve/front_end.cc
     src/ingest/ingest_pipeline.cc
     src/ingest/update_sink.cc
   )

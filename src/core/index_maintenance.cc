@@ -9,6 +9,12 @@ bool ApplyUpdate(Graph* g, OntologyIndex* index, const GraphUpdate& update,
   OSQ_CHECK(g != nullptr && index != nullptr);
   OSQ_CHECK(g == &index->data_graph());
   const EdgeTriple& e = update.edge;
+  // The first use of caller-supplied ids: Graph checks them only in debug
+  // builds.
+  if (e.from >= g->num_nodes() || e.to >= g->num_nodes()) {
+    if (stats != nullptr) ++stats->invalid;
+    return false;
+  }
   bool changed;
   if (update.kind == GraphUpdate::Kind::kInsertEdge) {
     changed = g->AddEdge(e.from, e.to, e.label);

@@ -44,6 +44,8 @@ struct MaintenanceStats {
   // Updates applied to the data graph (duplicates/missing edges skipped).
   size_t applied = 0;
   size_t skipped = 0;
+  // Updates rejected because an endpoint is not a node of the graph.
+  size_t invalid = 0;
   // Total AFF blocks summed over updates and concept graphs.
   size_t aff_blocks = 0;
   size_t splits = 0;
@@ -51,7 +53,8 @@ struct MaintenanceStats {
 };
 
 // Applies one update; returns false (and leaves everything unchanged) when
-// the update is a no-op (duplicate insertion / missing deletion).
+// the update is a no-op (duplicate insertion / missing deletion) or
+// invalid (an endpoint id >= g->num_nodes(); counted in stats->invalid).
 bool ApplyUpdate(Graph* g, OntologyIndex* index, const GraphUpdate& update,
                  MaintenanceStats* stats = nullptr);
 

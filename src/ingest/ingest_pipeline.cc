@@ -146,6 +146,7 @@ void IngestPipeline::WorkerLoop() {
     ++stats_.batches;
     stats_.applied += applied.applied;
     stats_.skipped += applied.skipped;
+    stats_.invalid += applied.invalid;
     stats_.apply_ms += apply_ms;
     stats_.applied_lag_ms = lag_ms;
     stats_.max_applied_lag_ms = std::max(stats_.max_applied_lag_ms, lag_ms);
@@ -172,11 +173,12 @@ std::string IngestStats::ToString() const {
                 static_cast<unsigned long long>(backlog));
   out.append(line);
   std::snprintf(line, sizeof(line),
-                "apply: %llu batches (%llu applied, %llu skipped), "
-                "%.2fms in sink, %.2f updates/cut\n",
+                "apply: %llu batches (%llu applied, %llu skipped, "
+                "%llu invalid), %.2fms in sink, %.2f updates/cut\n",
                 static_cast<unsigned long long>(batches),
                 static_cast<unsigned long long>(applied),
-                static_cast<unsigned long long>(skipped), apply_ms,
+                static_cast<unsigned long long>(skipped),
+                static_cast<unsigned long long>(invalid), apply_ms,
                 coalescing_ratio());
   out.append(line);
   std::snprintf(line, sizeof(line),

@@ -76,6 +76,7 @@ struct IngestStats {
   uint64_t batches = 0;     // snapshot cuts taken
   uint64_t applied = 0;     // updates that changed the graph
   uint64_t skipped = 0;     // no-ops that reached the sink anyway
+  uint64_t invalid = 0;     // rejected: an endpoint id out of range
   double apply_ms = 0.0;    // total wall time inside the sink
   // Gauges.
   uint64_t backlog = 0;         // accepted, not yet applied
@@ -87,7 +88,8 @@ struct IngestStats {
   // reader-visible invalidation amortizes.  >1 means batching is earning
   // its keep; includes coalesced drops since they also rode this cut.
   double coalescing_ratio() const {
-    return batches > 0 ? static_cast<double>(applied + skipped + coalesced) /
+    return batches > 0 ? static_cast<double>(applied + skipped + invalid +
+                                                 coalesced) /
                              static_cast<double>(batches)
                        : 0.0;
   }

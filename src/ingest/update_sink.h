@@ -3,11 +3,10 @@
 // IngestPipeline (ingest_pipeline.h) batches a stream of GraphUpdates and
 // hands each batch to an UpdateSink, which must apply it ATOMICALLY with
 // respect to concurrent readers: one ApplyBatch call is one snapshot cut.
-// Both serving tiers already provide exactly that contract through their
-// ApplyUpdates entry points (exclusive snapshot lock, one version advance
-// per batch), so the adapters here are thin non-owning wrappers.  The
-// indirection keeps src/ingest/ free of a hard dependency on the sharded
-// tier and gives tests a seam for counting/faulting batch applications.
+// The serving front end's ApplyUpdates (serve/front_end.h) provides
+// exactly that contract for both serving tiers, so one thin non-owning
+// sink serves either.  The indirection gives tests a seam for
+// counting/faulting batch applications.
 
 #ifndef OSQ_INGEST_UPDATE_SINK_H_
 #define OSQ_INGEST_UPDATE_SINK_H_
@@ -15,8 +14,8 @@
 #include <vector>
 
 #include "core/index_maintenance.h"
-#include "serve/query_service.h"
-#include "shard/sharded_query_service.h"
+#include "serve/front_end.h"
+#include "serve/serve_stats.h"
 
 namespace osq {
 
@@ -31,19 +30,27 @@ class UpdateSink {
       const std::vector<GraphUpdate>& batch) = 0;
 };
 
-// Sink over the single-engine serving tier.  Does not own the service.
-class QueryServiceSink final : public UpdateSink {
+// Sink over a serving front end.  Does not own it.
+class ServiceSink final : public UpdateSink {
  public:
-  explicit QueryServiceSink(QueryService* service) : service_(service) {}
+  explicit ServiceSink(ServeFrontEnd* front_end) : front_end_(front_end) {}
+  // Either serving tier (QueryService, ShardedQueryService).
+  template <typename Service>
+  explicit ServiceSink(Service* service)
+      : ServiceSink(service->front_end()) {}
 
   MaintenanceStats ApplyBatch(
       const std::vector<GraphUpdate>& batch) override {
-    return service_->ApplyUpdates(batch);
+    return front_end_->ApplyUpdates(batch);
   }
 
  private:
-  QueryService* service_;
+  ServeFrontEnd* front_end_;
 };
+
+// The names each serving tier's callers know the sink by.
+using QueryServiceSink = ServiceSink;
+using ShardedServiceSink = ServiceSink;
 
 class IngestPipeline;
 
@@ -53,22 +60,6 @@ class IngestPipeline;
 // the one sanctioned ingest<->serving bridge (osq-layering); the rest of
 // src/ingest stays free of serving-tier includes.
 void AugmentServeStats(const IngestPipeline& pipeline, ServeStats* stats);
-
-// Sink over the sharded coordinator: the batch is router-split per shard
-// and still applied under one exclusive section = one consistent cut.
-class ShardedServiceSink final : public UpdateSink {
- public:
-  explicit ShardedServiceSink(ShardedQueryService* service)
-      : service_(service) {}
-
-  MaintenanceStats ApplyBatch(
-      const std::vector<GraphUpdate>& batch) override {
-    return service_->ApplyUpdates(batch);
-  }
-
- private:
-  ShardedQueryService* service_;
-};
 
 }  // namespace osq
 

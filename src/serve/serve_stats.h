@@ -1,6 +1,6 @@
-// Observability for the serving layer (serve/query_service.h).
+// Observability for the serving layer (serve/front_end.h).
 //
-// QueryService records every request into lock-free log-bucketed latency
+// ServeFrontEnd records every request into lock-free log-bucketed latency
 // histograms (one for cache hits, one for cold queries) plus a set of
 // monotonic counters; Snapshot() folds them into a plain ServeStats value
 // with interpolated percentiles.  All recording uses relaxed atomics —
@@ -63,7 +63,7 @@ struct ServeStats {
   uint64_t deadline_exceeded = 0;
   uint64_t cancelled = 0;
   // Queries degraded because one or more shards failed (sharded serving
-  // tier only; always 0 for a single-engine QueryService).
+  // tier only).
   uint64_t shard_unavailable = 0;
   // Requests rejected at admission (ServeOptions::max_inflight exceeded);
   // NOT included in `queries` — they never reached the engine or cache.
@@ -81,7 +81,8 @@ struct ServeStats {
   uint64_t update_batches = 0;
   uint64_t updates_applied = 0;
   uint64_t nodes_added = 0;
-  // Snapshot version at snapshot time (monotone, bumped per batch).
+  // Snapshot version at snapshot time: the sum of the cut's components
+  // (monotone; a sharded batch can advance several components).
   uint64_t version = 0;
   // Total time requests spent waiting to acquire the reader (resp. writer)
   // side of the snapshot lock, microseconds.

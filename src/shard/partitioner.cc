@@ -203,10 +203,17 @@ void UpdateRouter::GrowMembership(size_t shard, NodeId from, NodeId to,
 }
 
 std::vector<ShardDelta> UpdateRouter::Route(const GraphUpdate& update,
-                                            bool* applied) {
+                                            bool* applied, bool* invalid) {
   std::vector<ShardDelta> deltas(options_.num_shards);
   NodeId a = update.edge.from;
   NodeId b = update.edge.to;
+  const bool out_of_range =
+      a >= reference_.num_nodes() || b >= reference_.num_nodes();
+  if (invalid != nullptr) *invalid = out_of_range;
+  if (out_of_range) {
+    if (applied != nullptr) *applied = false;
+    return deltas;
+  }
   bool changed;
   if (update.kind == GraphUpdate::Kind::kInsertEdge) {
     changed = reference_.AddEdge(a, b, update.edge.label);

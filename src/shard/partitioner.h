@@ -136,9 +136,11 @@ class UpdateRouter {
   // Routes one edge update.  Returns one delta per shard (empty deltas
   // for unaffected shards) and sets *applied to whether the update
   // changed the reference graph (duplicates / missing edges are no-ops
-  // and route nowhere).
+  // and route nowhere).  An update with an endpoint id outside the
+  // reference graph routes nowhere and sets *invalid when given.
   [[nodiscard]] std::vector<ShardDelta> Route(const GraphUpdate& update,
-                                              bool* applied);
+                                              bool* applied,
+                                              bool* invalid = nullptr);
 
   // Creates a new global node and routes it to its owner shard (depth 0).
   // Returns the new global id via *global.

@@ -108,14 +108,15 @@ void ShardEngine::AddNodeGlobal(NodeId global, LabelId label, bool owned) {
   if (owned) ++num_owned_;
 }
 
-bool ShardEngine::ApplyUpdateGlobal(const GraphUpdate& update) {
+bool ShardEngine::ApplyUpdateGlobal(const GraphUpdate& update,
+                                    MaintenanceStats* stats) {
   NodeId from = LocalOf(update.edge.from);
   NodeId to = LocalOf(update.edge.to);
   if (from == kInvalidNode || to == kInvalidNode) return false;
   GraphUpdate local = update;
   local.edge.from = from;
   local.edge.to = to;
-  return engine_.ApplyUpdate(local);
+  return engine_.ApplyUpdate(local, stats);
 }
 
 }  // namespace osq

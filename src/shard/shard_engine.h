@@ -69,8 +69,11 @@ class ShardEngine {
 
   // Applies one delta op, translating global ids to shard-local ones.
   // Unknown endpoints are a routing bug upstream and are skipped.
+  // ApplyUpdateGlobal adds the engine's maintenance counts to *stats when
+  // given.
   void AddNodeGlobal(NodeId global, LabelId label, bool owned);
-  bool ApplyUpdateGlobal(const GraphUpdate& update);
+  bool ApplyUpdateGlobal(const GraphUpdate& update,
+                         MaintenanceStats* stats = nullptr);
 
   // Monotone per-shard snapshot version (one component of the service's
   // VersionVector); advances on every mutating call that changed the

@@ -1,13 +1,11 @@
 #include "shard/sharded_query_service.h"
 
 #include <algorithm>
-#include <mutex>
+#include <atomic>
 #include <string>
-#include <utility>
 
 #include "common/deadline.h"
 #include "common/thread_pool.h"
-#include "common/timer.h"
 #include "core/match.h"
 #include "graph/query_graph.h"
 
@@ -42,31 +40,17 @@ void MergeShardStats(const QueryResult& from, QueryResult* into) {
 
 }  // namespace
 
-ShardedQueryService::ShardedQueryService(const Graph& g,
-                                         const OntologyGraph& ontology,
-                                         const IndexOptions& index_options,
-                                         const ShardOptions& shard_options,
-                                         const ServeOptions& serve_options)
-    : ShardedQueryService(g, ontology, index_options,
-                          GraphPartitioner(g, shard_options).Partition(),
-                          serve_options) {}
-
-ShardedQueryService::ShardedQueryService(const Graph& g,
-                                         const OntologyGraph& ontology,
-                                         const IndexOptions& index_options,
-                                         const ShardPlan& plan,
-                                         const ServeOptions& serve_options)
-    : shard_options_(plan.options),
-      options_(serve_options),
-      router_(g, plan),
-      cache_(serve_options.cache_capacity) {
+ShardedBackend::ShardedBackend(const Graph& g, const OntologyGraph& ontology,
+                               const IndexOptions& index_options,
+                               const ShardPlan& plan)
+    : shard_options_(plan.options), router_(g, plan) {
   shards_.reserve(plan.shards.size());
   for (const ShardSpec& spec : plan.shards) {
     shards_.emplace_back(spec, ontology, index_options);
   }
 }
 
-VersionVector ShardedQueryService::CurrentVersionLocked() const {
+VersionVector ShardedBackend::Version() const {
   VersionVector v;
   v.v.reserve(shards_.size());
   for (const ShardEngine& shard : shards_) {
@@ -75,9 +59,9 @@ VersionVector ShardedQueryService::CurrentVersionLocked() const {
   return v;
 }
 
-QueryResult ShardedQueryService::ScatterGather(const Graph& query,
-                                               const QueryOptions& options,
-                                               size_t* shards_failed) {
+QueryResult ShardedBackend::Evaluate(const Graph& query,
+                                     const QueryOptions& options,
+                                     size_t* shards_failed) const {
   QueryResult merged;
   merged.status = ValidateQuery(query);
   if (!merged.status.ok()) return merged;
@@ -170,93 +154,8 @@ QueryResult ShardedQueryService::ScatterGather(const Graph& query,
   return merged;
 }
 
-ShardedServedResult ShardedQueryService::Query(const Graph& query,
-                                               const QueryOptions& options) {
-  ShardedServedResult served;
-  WallTimer total;
-
-  // Admission control, identical to QueryService: shed before the lock.
-  inflight_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.max_inflight > 0 &&
-      inflight_.load(std::memory_order_relaxed) > options_.max_inflight) {
-    inflight_.fetch_sub(1, std::memory_order_relaxed);
-    served.shed = true;
-    served.result.status = Status::Unavailable(
-        "query shed: service at max_inflight capacity");
-    served.serve_us = total.ElapsedMicros();
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    return served;
-  }
-
-  QueryOptions effective = options;
-  if (effective.deadline_ms <= 0.0 && options_.default_deadline_ms > 0.0) {
-    effective.deadline_ms = options_.default_deadline_ms;
-  }
-  std::string key = QuerySignature(query, effective);
-
-  WallTimer wait;
-  // Burst classification + write-intent gate, identical to QueryService.
-  bool write_burst =
-      writers_pending_.load(std::memory_order_relaxed) > 0;
-  {
-    std::scoped_lock<std::mutex> gate(writer_gate_);
-  }
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  served.wait_us = wait.ElapsedMicros();
-  read_wait_tenth_us_.fetch_add(ToTenthUs(served.wait_us),
-                                std::memory_order_relaxed);
-  write_burst = write_burst ||
-                writers_pending_.load(std::memory_order_relaxed) > 0;
-  served.version = CurrentVersionLocked();
-
-  if (cache_.Lookup(key, served.version, &served.result)) {
-    served.cache_hit = true;
-  } else {
-    served.result = ScatterGather(query, effective, &served.shards_failed);
-    // Only complete results are cacheable; a degraded merge (deadline,
-    // cancel, or a failed shard) is missing matches and must never be
-    // served as the exact answer.
-    if ((served.result.status.ok() || options_.cache_errors) &&
-        served.result.complete()) {
-      cache_.Insert(key, served.version, served.result);
-    }
-  }
-  lock.unlock();
-  inflight_.fetch_sub(1, std::memory_order_relaxed);
-
-  served.serve_us = total.ElapsedMicros();
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  switch (served.result.completeness) {
-    case StopReason::kNone:
-      complete_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case StopReason::kDeadlineExceeded:
-      deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case StopReason::kCancelled:
-      cancelled_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case StopReason::kShardUnavailable:
-      shard_unavailable_.fetch_add(1, std::memory_order_relaxed);
-      break;
-  }
-  if (served.cache_hit) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    hit_latency_.Record(served.serve_us);
-  } else {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    if (served.result.complete()) {
-      miss_latency_.Record(served.serve_us);
-    } else {
-      degraded_latency_.Record(served.serve_us);
-    }
-  }
-  if (write_burst) burst_read_latency_.Record(served.serve_us);
-  return served;
-}
-
-void ShardedQueryService::ApplyDeltasLocked(
-    const std::vector<ShardDelta>& deltas) {
+void ShardedBackend::ApplyDeltas(const std::vector<ShardDelta>& deltas,
+                                 MaintenanceStats* stats) {
   for (size_t s = 0; s < deltas.size() && s < shards_.size(); ++s) {
     for (const ShardDelta::NodeAdd& add : deltas[s].node_adds) {
       shards_[s].AddNodeGlobal(add.global, add.label, add.owned);
@@ -266,137 +165,36 @@ void ShardedQueryService::ApplyDeltasLocked(
       // and whose effect is fresh; a false return here would mean a
       // routing bug, surfaced by the differential suite rather than a
       // crash in production.
-      (void)shards_[s].ApplyUpdateGlobal(update);
+      (void)shards_[s].ApplyUpdateGlobal(update, stats);
     }
   }
 }
 
-void ShardedQueryService::InvalidateCacheLocked() {
-  invalidations_.fetch_add(cache_.Invalidate(CurrentVersionLocked()),
-                           std::memory_order_relaxed);
-}
-
-void ShardedQueryService::FinishWriteLocked(size_t applied) {
-  update_batches_.fetch_add(1, std::memory_order_relaxed);
-  if (applied == 0) return;  // no-op batch: snapshot cut unchanged
-  updates_applied_.fetch_add(applied, std::memory_order_relaxed);
-  InvalidateCacheLocked();
-}
-
-void ShardedQueryService::FinishNodeAddLocked() {
-  update_batches_.fetch_add(1, std::memory_order_relaxed);
-  nodes_added_.fetch_add(1, std::memory_order_relaxed);
-  // Node adds advance the owning shard's version component, so the full
-  // vector stamp moves and every cached entry is necessarily stale (see
-  // QueryService::FinishNodeAddLocked for the single-scalar argument; the
-  // vector case is identical per component).
-  InvalidateCacheLocked();
-}
-
-bool ShardedQueryService::ApplyUpdate(const GraphUpdate& update) {
-  WallTimer wait;
-  writers_pending_.fetch_add(1, std::memory_order_relaxed);
-  GaugeDecrementGuard pending(writers_pending_);
-  std::scoped_lock<std::mutex> gate(writer_gate_);
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  write_wait_tenth_us_.fetch_add(ToTenthUs(wait.ElapsedMicros()),
-                                 std::memory_order_relaxed);
-  WallTimer apply;
-  bool applied = false;
-  std::vector<ShardDelta> deltas = router_.Route(update, &applied);
-  ApplyDeltasLocked(deltas);
-  FinishWriteLocked(applied ? 1 : 0);
-  write_apply_tenth_us_.fetch_add(ToTenthUs(apply.ElapsedMicros()),
-                                  std::memory_order_relaxed);
-  return applied;
-}
-
-MaintenanceStats ShardedQueryService::ApplyUpdates(
-    const std::vector<GraphUpdate>& updates) {
-  WallTimer wait;
-  writers_pending_.fetch_add(1, std::memory_order_relaxed);
-  GaugeDecrementGuard pending(writers_pending_);
-  std::scoped_lock<std::mutex> gate(writer_gate_);
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  write_wait_tenth_us_.fetch_add(ToTenthUs(wait.ElapsedMicros()),
-                                 std::memory_order_relaxed);
-  WallTimer apply;
+MaintenanceStats ShardedBackend::Apply(const std::vector<GraphUpdate>& batch) {
   MaintenanceStats stats;
-  for (const GraphUpdate& update : updates) {
+  MaintenanceStats engines;
+  for (const GraphUpdate& update : batch) {
     bool applied = false;
-    std::vector<ShardDelta> deltas = router_.Route(update, &applied);
-    ApplyDeltasLocked(deltas);
-    if (applied) {
+    bool invalid = false;
+    ApplyDeltas(router_.Route(update, &applied, &invalid), &engines);
+    if (invalid) {
+      ++stats.invalid;
+    } else if (applied) {
       ++stats.applied;
     } else {
       ++stats.skipped;
     }
   }
-  FinishWriteLocked(stats.applied);
-  write_apply_tenth_us_.fetch_add(ToTenthUs(apply.ElapsedMicros()),
-                                  std::memory_order_relaxed);
+  stats.aff_blocks = engines.aff_blocks;
+  stats.splits = engines.splits;
+  stats.merges = engines.merges;
   return stats;
 }
 
-NodeId ShardedQueryService::AddNode(LabelId label) {
-  WallTimer wait;
-  writers_pending_.fetch_add(1, std::memory_order_relaxed);
-  GaugeDecrementGuard pending(writers_pending_);
-  std::scoped_lock<std::mutex> gate(writer_gate_);
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  write_wait_tenth_us_.fetch_add(ToTenthUs(wait.ElapsedMicros()),
-                                 std::memory_order_relaxed);
-  WallTimer apply;
+NodeId ShardedBackend::AddNode(LabelId label) {
   NodeId global = kInvalidNode;
-  std::vector<ShardDelta> deltas = router_.RouteAddNode(label, &global);
-  ApplyDeltasLocked(deltas);
-  FinishNodeAddLocked();
-  write_apply_tenth_us_.fetch_add(ToTenthUs(apply.ElapsedMicros()),
-                                  std::memory_order_relaxed);
+  ApplyDeltas(router_.RouteAddNode(label, &global), nullptr);
   return global;
-}
-
-VersionVector ShardedQueryService::version() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return CurrentVersionLocked();
-}
-
-ServeStats ShardedQueryService::Stats() const {
-  ServeStats s;
-  s.queries = queries_.load(std::memory_order_relaxed);
-  s.cache_hits = hits_.load(std::memory_order_relaxed);
-  s.cache_misses = misses_.load(std::memory_order_relaxed);
-  s.complete = complete_.load(std::memory_order_relaxed);
-  s.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
-  s.cancelled = cancelled_.load(std::memory_order_relaxed);
-  s.shard_unavailable = shard_unavailable_.load(std::memory_order_relaxed);
-  s.shed = shed_.load(std::memory_order_relaxed);
-  s.cache_evictions = cache_.evictions();
-  s.cache_invalidations = invalidations_.load(std::memory_order_relaxed) +
-                          cache_.stale_drops();
-  s.update_batches = update_batches_.load(std::memory_order_relaxed);
-  s.updates_applied = updates_applied_.load(std::memory_order_relaxed);
-  s.nodes_added = nodes_added_.load(std::memory_order_relaxed);
-  // ServeStats carries one scalar version; report the vector's component
-  // sum (total applied batches across shards).
-  for (uint64_t component : version().v) s.version += component;
-  s.read_wait_us =
-      static_cast<double>(
-          read_wait_tenth_us_.load(std::memory_order_relaxed)) /
-      10.0;
-  s.write_wait_us =
-      static_cast<double>(
-          write_wait_tenth_us_.load(std::memory_order_relaxed)) /
-      10.0;
-  s.write_apply_us =
-      static_cast<double>(
-          write_apply_tenth_us_.load(std::memory_order_relaxed)) /
-      10.0;
-  s.hit_latency = hit_latency_.Summarize();
-  s.miss_latency = miss_latency_.Summarize();
-  s.degraded_latency = degraded_latency_.Summarize();
-  s.burst_read_latency = burst_read_latency_.Summarize();
-  return s;
 }
 
 }  // namespace osq

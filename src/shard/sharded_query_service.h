@@ -1,181 +1,134 @@
 // ShardedQueryService — scatter-gather serving across N graph shards
-// (DESIGN.md §13).
+// (DESIGN.md §13): a ShardedBackend behind the shared serving front end
+// (serve/front_end.h).
 //
-// The coordinator owns one per-shard engine adapter per shard (built from
-// a GraphPartitioner plan) and serves queries by scattering the same query
-// to every shard on the shared thread pool, then merging the per-shard
-// top-K streams.  Merge determinism: every shard returns its exact top-K
-// under the MatchBetter total order with canonical scores and global node
-// ids, and the per-shard match sets partition the global match set (pivot
-// ownership dedup, see shard/shard_engine.h) — so concatenate + sort +
-// trim is bit-identical to a single-engine evaluation, for every shard
-// count and both partitioning policies.
-//
-// Snapshot isolation uses a VERSION VECTOR, one component per shard: the
-// writer applies each routed update batch under the exclusive snapshot
-// lock (all shards mutate inside one critical section = one consistent
-// cut), readers capture the vector under the shared lock, and the result
-// cache stamps entries with the full vector — one stale shard component
-// invalidates the entry (serve/result_cache.h).
-//
-// Writer fairness mirrors serve/query_service.h: a write-intent gate (a
-// plain mutex writers hold across the exclusive acquisition and readers
-// briefly pass through) bounds a routed batch's wait to the drain time of
-// already-admitted readers, regardless of read arrival rate.
-//
-// Degradation: the service-level deadline propagates to every shard; the
-// first shard to exceed it cancels its siblings (their results come back
-// remapped to deadline_exceeded, not cancelled, since the caller never
-// asked to cancel) and completeness is max-precedence-merged.  A shard
-// failed by the ShardFaultHook test seam contributes
-// StopReason::kShardUnavailable; partial results are returned but never
-// cached.  Admission control (max_inflight) sheds before the lock,
-// exactly like the single-engine QueryService.
+// The backend scatters each query to every shard engine on the shared
+// thread pool and merges the per-shard top-K streams.  Every shard returns
+// its exact top-K under MatchBetter with canonical scores and global node
+// ids, and pivot ownership (shard/shard_engine.h) partitions the global
+// match set, so concatenate + sort + trim is bit-identical to one engine
+// for every shard count and both partitioning policies.  The snapshot cut
+// is a VERSION VECTOR with one component per shard, so one stale shard
+// invalidates a cached entry.  Degradation: the first shard to exceed the
+// deadline cancels its siblings (reported as deadline_exceeded, not
+// cancelled); a shard failed by the ShardFaultHook test seam contributes
+// StopReason::kShardUnavailable.
 
 #ifndef OSQ_SHARD_SHARDED_QUERY_SERVICE_H_
 #define OSQ_SHARD_SHARDED_QUERY_SERVICE_H_
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <mutex>
-#include <shared_mutex>
+#include <utility>
 #include <vector>
 
-#include "common/annotations.h"
 #include "common/status.h"
 #include "core/index_maintenance.h"
 #include "core/options.h"
 #include "graph/graph.h"
 #include "ontology/ontology_graph.h"
-#include "serve/result_cache.h"
+#include "serve/front_end.h"
 #include "serve/serve_stats.h"
 #include "shard/partitioner.h"
 #include "shard/shard_engine.h"
 
 namespace osq {
 
-// A merged QueryResult plus per-request serving metadata (the sharded
-// analogue of ServedResult).
-struct ShardedServedResult {
-  QueryResult result;
-  bool cache_hit = false;
-  bool shed = false;
-  // Per-shard snapshot cut the result reflects.
-  VersionVector version;
-  // Shards that contributed nothing (fault hook / engine unavailability).
-  size_t shards_failed = 0;
-  double wait_us = 0.0;
-  double serve_us = 0.0;
-};
+// A merged QueryResult plus per-request serving metadata: the cut is the
+// per-shard version vector and `shards_failed` counts the shards that
+// contributed nothing.
+using ShardedServedResult = FrontEndResult;
 
 // Test seam: called at the start of each shard's scatter task; a non-OK
 // status fails that shard for this request (the coordinator degrades
 // instead of hanging).  Install before serving traffic.
 using ShardFaultHook = std::function<Status(size_t shard)>;
 
+// The scatter-gather backend: the shard engines, the update router and the
+// fault hook.
+class ShardedBackend final : public ServeBackend {
+ public:
+  // `g` and `ontology` are copied (each shard owns its slice); `plan` must
+  // have been computed over `g`.
+  ShardedBackend(const Graph& g, const OntologyGraph& ontology,
+                 const IndexOptions& index_options, const ShardPlan& plan);
+
+  // Queries whose pivot eccentricity exceeds the configured halo_radius
+  // are rejected with kInvalidArgument (a shard could miss match nodes).
+  QueryResult Evaluate(const Graph& query, const QueryOptions& options,
+                       size_t* shards_failed) const override;
+  // Routes each update to the shard(s) holding its endpoints.
+  // applied/skipped/invalid are the router's global counts; aff_blocks,
+  // splits and merges are summed over the shard engines that took each
+  // update.
+  MaintenanceStats Apply(const std::vector<GraphUpdate>& batch) override;
+  NodeId AddNode(LabelId label) override;
+  VersionVector Version() const override;
+
+  size_t num_shards() const { return shards_.size(); }
+  void set_fault_hook(ShardFaultHook hook) { fault_hook_ = std::move(hook); }
+
+ private:
+  // Adds the engines' maintenance counts to *stats when given.
+  void ApplyDeltas(const std::vector<ShardDelta>& deltas,
+                   MaintenanceStats* stats);
+
+  ShardOptions shard_options_;
+  std::vector<ShardEngine> shards_;
+  UpdateRouter router_;
+  ShardFaultHook fault_hook_;
+};
+
+// One ShardedBackend behind the serving front end.
 class ShardedQueryService {
  public:
   // Partitions `g` per `shard_options` and builds one engine per shard.
-  // `g` and `ontology` are copied (each shard owns its slice).
   ShardedQueryService(const Graph& g, const OntologyGraph& ontology,
                       const IndexOptions& index_options,
                       const ShardOptions& shard_options,
-                      const ServeOptions& serve_options = ServeOptions{});
+                      const ServeOptions& serve_options = ServeOptions{})
+      : backend_(g, ontology, index_options,
+                 GraphPartitioner(g, shard_options).Partition()),
+        front_end_(&backend_, serve_options) {}
 
   ShardedQueryService(const ShardedQueryService&) = delete;
   ShardedQueryService& operator=(const ShardedQueryService&) = delete;
 
   // Scatter-gather evaluation against the current snapshot cut.  Safe to
   // call concurrently with itself and with the mutating calls below.
-  // Queries whose pivot eccentricity exceeds the configured halo_radius
-  // are rejected with kInvalidArgument (a shard could miss match nodes).
   [[nodiscard]] ShardedServedResult Query(const Graph& query,
-                                          const QueryOptions& options);
+                                          const QueryOptions& options) {
+    return front_end_.Query(query, options);
+  }
 
   // Mutations: routed to the owning shard(s) and applied atomically with
   // respect to Query — readers see the whole routed batch or none of it.
-  bool ApplyUpdate(const GraphUpdate& update);
-  // [[nodiscard]]: the stats carry the applied/skipped split — dropping
-  // them hides a batch that silently no-opped.
+  bool ApplyUpdate(const GraphUpdate& update) {
+    return front_end_.ApplyUpdates({update}).applied > 0;
+  }
   [[nodiscard]] MaintenanceStats ApplyUpdates(
-      const std::vector<GraphUpdate>& updates);
-  NodeId AddNode(LabelId label);
-
-  // Current per-shard snapshot cut.
-  VersionVector version() const;
-
-  // Point-in-time counters; ServeStats::version reports the sum of the
-  // vector's components (total applied batches across shards).
-  ServeStats Stats() const;
-
-  size_t num_shards() const {
-    // NOLINTNEXTLINE(osq-guarded-access): shard count is fixed at construction; only contents are guarded
-    return shards_.size();
+      const std::vector<GraphUpdate>& updates) {
+    return front_end_.ApplyUpdates(updates);
   }
-  size_t cache_size() const { return cache_.size(); }
-  size_t inflight() const {
-    return inflight_.load(std::memory_order_relaxed);
-  }
+  NodeId AddNode(LabelId label) { return front_end_.AddNode(label); }
+
+  // Current per-shard snapshot cut; ServeStats::version is its sum.
+  VersionVector version() const { return front_end_.version(); }
+  ServeStats Stats() const { return front_end_.Stats(); }
+  size_t num_shards() const { return backend_.num_shards(); }
+  size_t cache_size() const { return front_end_.cache_size(); }
+  size_t inflight() const { return front_end_.inflight(); }
+  ServeFrontEnd* front_end() { return &front_end_; }
 
   // Install the fault-injection seam.  Not synchronized against in-flight
   // queries — call before serving traffic (tests only).
-  void set_fault_hook(ShardFaultHook hook) { fault_hook_ = std::move(hook); }
+  void set_fault_hook(ShardFaultHook hook) {
+    backend_.set_fault_hook(std::move(hook));
+  }
 
  private:
-  // Delegation target: the public constructor computes the plan once and
-  // hands it to both the shard engines and the router.
-  ShardedQueryService(const Graph& g, const OntologyGraph& ontology,
-                      const IndexOptions& index_options,
-                      const ShardPlan& plan,
-                      const ServeOptions& serve_options);
-
-  VersionVector CurrentVersionLocked() const OSQ_REQUIRES_SHARED(mu_);
-  void ApplyDeltasLocked(const std::vector<ShardDelta>& deltas)
-      OSQ_REQUIRES(mu_);
-  void FinishWriteLocked(size_t applied) OSQ_REQUIRES(mu_);
-  void FinishNodeAddLocked() OSQ_REQUIRES(mu_);
-  void InvalidateCacheLocked() OSQ_REQUIRES(mu_);
-  QueryResult ScatterGather(const Graph& query, const QueryOptions& options,
-                            size_t* shards_failed) OSQ_REQUIRES_SHARED(mu_);
-
-  ShardOptions shard_options_;
-  ServeOptions options_;
-  // Write-intent gate; ordering is always gate THEN mu_ (see class note).
-  std::mutex writer_gate_ OSQ_ACQUIRED_BEFORE(mu_);
-  mutable std::shared_mutex mu_;  // guards shards_ + router_ (readers shared)
-  std::vector<ShardEngine> shards_ OSQ_GUARDED_BY(mu_);
-  UpdateRouter router_ OSQ_GUARDED_BY(mu_);
-  // Internally synchronized (own mutex) — deliberately not GUARDED_BY.
-  ResultCache cache_;
-  // Installed before traffic starts (see set_fault_hook) — unguarded.
-  ShardFaultHook fault_hook_;
-
-  std::atomic<size_t> inflight_{0};
-  // Writers pending or writing (burst classification; see query_service.h).
-  std::atomic<uint64_t> writers_pending_{0};
-
-  // Counters (relaxed; see serve/serve_stats.h for the rationale).
-  std::atomic<uint64_t> queries_{0};
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> complete_{0};
-  std::atomic<uint64_t> deadline_exceeded_{0};
-  std::atomic<uint64_t> cancelled_{0};
-  std::atomic<uint64_t> shard_unavailable_{0};
-  std::atomic<uint64_t> shed_{0};
-  std::atomic<uint64_t> invalidations_{0};
-  std::atomic<uint64_t> update_batches_{0};
-  std::atomic<uint64_t> updates_applied_{0};
-  std::atomic<uint64_t> nodes_added_{0};
-  std::atomic<uint64_t> read_wait_tenth_us_{0};
-  std::atomic<uint64_t> write_wait_tenth_us_{0};
-  std::atomic<uint64_t> write_apply_tenth_us_{0};
-  LatencyHistogram hit_latency_;
-  LatencyHistogram miss_latency_;
-  LatencyHistogram degraded_latency_;
-  LatencyHistogram burst_read_latency_;
+  ShardedBackend backend_;  // before front_end_, which borrows it
+  ServeFrontEnd front_end_;
 };
 
 }  // namespace osq

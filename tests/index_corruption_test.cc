@@ -285,12 +285,21 @@ TEST(IndexCorruptionTest, SaveLoadAgainstDifferentGraphIsRejected) {
 constexpr size_t kV2HeaderBytes = 40;
 constexpr size_t kV2EntryBytes = 24;
 
+// A scratch file private to the running test: ctest runs this binary's
+// cases as parallel processes, so a shared name lets one case read
+// another's half-written file.
+std::string ScratchPath(const std::string& stem) {
+  return testing::TempDir() + "/" + stem + "_" +
+         testing::UnitTest::GetInstance()->current_test_info()->name() +
+         ".snp";
+}
+
 std::string BuildValidSnapshotBytes() {
   test::TravelFixture f = test::MakeTravelFixture();
   IndexOptions options;
   options.num_concept_graphs = 2;
   QueryEngine engine(f.g, f.o, options);
-  const std::string path = testing::TempDir() + "/osq_v2_corruption_base.snp";
+  const std::string path = ScratchPath("osq_v2_corruption_base");
   EXPECT_TRUE(SaveEngineSnapshot(engine, f.dict, path).ok());
   std::ifstream in(path, std::ios::binary);
   std::stringstream ss;
@@ -325,7 +334,7 @@ void FixPayloadHash(std::string* bytes) {
 }
 
 Status LoadSnapshotBytes(const std::string& bytes) {
-  const std::string path = testing::TempDir() + "/osq_v2_corruption_case.snp";
+  const std::string path = ScratchPath("osq_v2_corruption_case");
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));

@@ -21,6 +21,7 @@
 #include "core/index_maintenance.h"
 #include "ingest/update_sink.h"
 #include "serve/query_service.h"
+#include "shard/sharded_query_service.h"
 #include "test_util.h"
 
 namespace osq {
@@ -238,6 +239,32 @@ TEST(IngestPipelineTest, QueryServiceSinkTakesOneSnapshotCutPerBatch) {
   EXPECT_EQ(stats.ingest_backlog, 0u);
   EXPECT_GT(stats.ingest_coalescing_ratio, 1.0);  // 3 submitted / 1 cut
   pipeline.Stop();
+}
+
+// An update naming a node the graph does not have reaches either tier's
+// sink, is counted invalid there and never applied.
+TEST(IngestPipelineTest, OutOfRangeUpdateIsCountedInvalid) {
+  test::TravelFixture f = test::MakeTravelFixture();
+  QueryService single(QueryEngine(f.g, f.o, IndexOptions{}));
+  ShardOptions two_shards;
+  two_shards.num_shards = 2;
+  ShardedQueryService sharded(f.g, f.o, IndexOptions{}, two_shards);
+  QueryServiceSink single_sink(&single);
+  ShardedServiceSink sharded_sink(&sharded);
+
+  for (UpdateSink* sink : {&single_sink, &sharded_sink}) {
+    IngestPipeline pipeline(sink, IngestOptions{});
+    EXPECT_TRUE(pipeline.Submit(GraphUpdate::Insert(3, 5000000, 0)));
+    pipeline.Flush();
+    IngestStats stats = pipeline.Stats();
+    EXPECT_EQ(stats.batches, 1u);
+    EXPECT_EQ(stats.invalid, 1u);
+    EXPECT_EQ(stats.applied, 0u);
+    EXPECT_EQ(stats.skipped, 0u);
+    pipeline.Stop();
+  }
+  EXPECT_EQ(single.version(), 0u);
+  EXPECT_EQ(sharded.version(), (VersionVector{{0, 0}}));
 }
 
 }  // namespace

@@ -146,6 +146,26 @@ TEST(QueryEngineTest, VersionCountsMutatingBatches) {
   EXPECT_EQ(engine.version(), 3u);
 }
 
+// An update naming a node the graph does not have is counted invalid and
+// never applied (it used to reach Graph::AddEdge and crash).
+TEST(QueryEngineTest, OutOfRangeUpdateIsCountedInvalidNotApplied) {
+  test::TravelFixture f = test::MakeTravelFixture();
+  QueryEngine engine = MakeTravelEngine(&f);
+  const size_t nodes = engine.graph().num_nodes();
+  const size_t edges = engine.graph().num_edges();
+
+  MaintenanceStats stats =
+      engine.ApplyUpdates({GraphUpdate::Insert(3, 5000000, 0)});
+  EXPECT_EQ(stats.invalid, 1u);
+  EXPECT_EQ(stats.applied, 0u);
+  EXPECT_EQ(stats.skipped, 0u);
+  EXPECT_FALSE(engine.ApplyUpdate(GraphUpdate::Delete(5000000, 3, 0)));
+  EXPECT_EQ(engine.graph().num_nodes(), nodes);
+  EXPECT_EQ(engine.graph().num_edges(), edges);
+  EXPECT_EQ(engine.version(), 0u);
+  EXPECT_TRUE(engine.index().Validate());
+}
+
 TEST(QueryEngineTest, DynamicUpdateChangesResults) {
   test::TravelFixture f = test::MakeTravelFixture();
   NodeId hp = f.hp;

@@ -242,16 +242,22 @@ TEST(QueryServiceTest, ErrorResultsNotCachedByDefault) {
   EXPECT_EQ(service.cache_size(), 0u);
 }
 
-TEST(QueryServiceTest, ErrorResultsCachedWhenOptedIn) {
+TEST(QueryServiceTest, OutOfRangeUpdateIsRejected) {
   test::TravelFixture f = test::MakeTravelFixture();
-  ServeOptions serve;
-  serve.cache_errors = true;
-  QueryService service = MakeTravelService(&f, serve);
-  Graph empty;
-  ASSERT_FALSE(service.Query(empty, TravelOptions()).result.status.ok());
-  ServedResult second = service.Query(empty, TravelOptions());
-  EXPECT_TRUE(second.cache_hit);
-  EXPECT_FALSE(second.result.status.ok());
+  Graph query = f.query;
+  QueryService service = MakeTravelService(&f);
+  ASSERT_TRUE(service.Query(query, TravelOptions()).result.status.ok());
+  const size_t edges = service.engine_unsynchronized().graph().num_edges();
+
+  MaintenanceStats stats =
+      service.ApplyUpdates({GraphUpdate::Insert(3, 5000000, 0)});
+  EXPECT_EQ(stats.invalid, 1u);
+  EXPECT_EQ(stats.applied, 0u);
+  EXPECT_FALSE(service.ApplyUpdate(GraphUpdate::Insert(5000000, 3, 0)));
+  EXPECT_EQ(service.version(), 0u);
+  EXPECT_EQ(service.engine_unsynchronized().graph().num_edges(), edges);
+  // The snapshot did not move, so the cached answer is still served.
+  EXPECT_TRUE(service.Query(query, TravelOptions()).cache_hit);
 }
 
 TEST(ResultCacheTest, LookupTimeStaleDropsAreCounted) {

@@ -12,12 +12,12 @@
 #include "serve/serve_stats.h"
 
 #include <string>
-#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "core/index_maintenance.h"
 #include "serve/query_service.h"
+#include "shard/sharded_query_service.h"
 #include "test_util.h"
 
 namespace osq {
@@ -78,41 +78,49 @@ TEST(ServeStatsTest, ToStringRendersNewFields) {
   EXPECT_NE(out.find("ingest:"), std::string::npos);
 }
 
-// The invariant on a live service: admitted queries split exactly into
-// hits and misses, every admitted query records exactly one latency
-// sample, and mutations keep edge vs node counters separate.
-TEST(ServeStatsTest, LiveServiceCountersReconcile) {
-  test::TravelFixture f = test::MakeTravelFixture();
-  Graph query = f.query;
+// Miss, hit, one node add, one edge update, miss again.
+template <typename Service>
+ServeStats DriveLiveService(Service* service, const test::TravelFixture& f) {
   QueryOptions qo;
   qo.theta = 0.9;
   qo.k = 10;
-  QueryService service(
-      QueryEngine(std::move(f.g), std::move(f.o), IndexOptions{}),
-      ServeOptions{});
+  EXPECT_TRUE(service->Query(f.query, qo).result.status.ok());  // miss
+  EXPECT_TRUE(service->Query(f.query, qo).result.status.ok());  // hit
+  (void)service->AddNode(f.guide);
+  EXPECT_TRUE(service->ApplyUpdate(GraphUpdate::Insert(f.ct, f.hp, f.fav)));
+  EXPECT_TRUE(service->Query(f.query, qo).result.status.ok());  // miss again
+  return service->Stats();
+}
 
-  ASSERT_TRUE(service.Query(query, qo).result.status.ok());  // miss
-  ASSERT_TRUE(service.Query(query, qo).result.status.ok());  // hit
-  (void)service.AddNode(f.guide);
-  MaintenanceStats ms;
-  ASSERT_TRUE(
-      service.ApplyUpdate(GraphUpdate::Insert(f.ct, f.hp, f.fav), &ms));
-  ASSERT_TRUE(service.Query(query, qo).result.status.ok());  // miss again
+// The invariant on a live service of either tier: admitted queries split
+// exactly into hits and misses, every admitted query records exactly one
+// latency sample, and mutations keep edge vs node counters separate.
+TEST(ServeStatsTest, LiveServiceCountersReconcile) {
+  test::TravelFixture f = test::MakeTravelFixture();
+  ShardOptions two_shards;
+  two_shards.num_shards = 2;
+  ShardedQueryService sharded(f.g, f.o, IndexOptions{}, two_shards);
+  QueryService service(QueryEngine(f.g, f.o, IndexOptions{}),
+                       ServeOptions{});
+  const ServeStats single_stats = DriveLiveService(&service, f);
+  // A sharded update can advance more than one version component, so the
+  // version sum is pinned for the single tier only.
+  EXPECT_EQ(single_stats.version, 2u);
 
-  ServeStats s = service.Stats();
-  EXPECT_EQ(s.queries, 3u);
-  EXPECT_EQ(s.cache_hits, 1u);
-  EXPECT_EQ(s.cache_misses, 2u);
-  EXPECT_EQ(s.queries, s.cache_hits + s.cache_misses);
-  EXPECT_EQ(s.shed, 0u);
-  EXPECT_EQ(s.total_requests(), s.queries);
-  EXPECT_EQ(s.queries, s.hit_latency.count + s.miss_latency.count +
-                           s.degraded_latency.count);
-  // Counter split: one node add, one edge update, two batches.
-  EXPECT_EQ(s.nodes_added, 1u);
-  EXPECT_EQ(s.updates_applied, 1u);
-  EXPECT_EQ(s.update_batches, 2u);
-  EXPECT_EQ(s.version, 2u);
+  for (const ServeStats& s : {single_stats, DriveLiveService(&sharded, f)}) {
+    EXPECT_EQ(s.queries, 3u);
+    EXPECT_EQ(s.cache_hits, 1u);
+    EXPECT_EQ(s.cache_misses, 2u);
+    EXPECT_EQ(s.queries, s.cache_hits + s.cache_misses);
+    EXPECT_EQ(s.shed, 0u);
+    EXPECT_EQ(s.total_requests(), s.queries);
+    EXPECT_EQ(s.queries, s.hit_latency.count + s.miss_latency.count +
+                             s.degraded_latency.count);
+    // Counter split: one node add, one edge update, two batches.
+    EXPECT_EQ(s.nodes_added, 1u);
+    EXPECT_EQ(s.updates_applied, 1u);
+    EXPECT_EQ(s.update_batches, 2u);
+  }
 }
 
 }  // namespace

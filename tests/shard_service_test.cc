@@ -144,6 +144,36 @@ TEST(ShardedQueryServiceTest, UpdateStreamTracksOracle) {
   }
 }
 
+TEST(ShardedQueryServiceTest, UpdateReportsShardMaintenanceStats) {
+  TravelFixture f = MakeTravelFixture();
+  const GraphUpdate update = GraphUpdate::Insert(f.ct, f.hp, f.fav);
+  QueryEngine single(f.g, f.o, IndexOptions{});
+  ASSERT_GT(single.ApplyUpdates({update}).aff_blocks, 0u);
+
+  ShardedQueryService service(f.g, f.o, IndexOptions{}, Shards(2));
+  MaintenanceStats stats = service.ApplyUpdates({update});
+  EXPECT_EQ(stats.applied, 1u);
+  EXPECT_GT(stats.aff_blocks, 0u);
+}
+
+TEST(ShardedQueryServiceTest, OutOfRangeUpdateIsRejected) {
+  TravelFixture f = MakeTravelFixture();
+  QueryEngine oracle(f.g, f.o, IndexOptions{});
+  ShardedQueryService service(f.g, f.o, IndexOptions{}, Shards(2));
+  const VersionVector before = service.version();
+
+  MaintenanceStats stats =
+      service.ApplyUpdates({GraphUpdate::Insert(3, 5000000, 0)});
+  EXPECT_EQ(stats.invalid, 1u);
+  EXPECT_EQ(stats.applied, 0u);
+  EXPECT_EQ(stats.skipped, 0u);
+  EXPECT_FALSE(service.ApplyUpdate(GraphUpdate::Delete(5000000, 3, 0)));
+  EXPECT_EQ(service.version(), before);
+  QueryOptions qo;
+  EXPECT_EQ(service.Query(f.query, qo).result.matches,
+            oracle.Query(f.query, qo).matches);
+}
+
 TEST(ShardedQueryServiceTest, FaultedShardDegradesAndIsNeverCached) {
   TravelFixture f = MakeTravelFixture();
   ShardedQueryService service(f.g, f.o, IndexOptions{}, Shards(3));

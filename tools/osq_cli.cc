@@ -79,6 +79,7 @@
 #include "shard/sharded_query_service.h"
 #include "graph/graph_io.h"
 #include "query/pattern_parser.h"
+#include "serve/front_end.h"
 #include "serve/query_service.h"
 
 namespace {
@@ -355,28 +356,38 @@ int CmdQuery(const FlagMap& flags) {
   return 0;
 }
 
+// Parses the --queries patterns file against `dict`; returns the exit
+// status (0 on success) with the error printed.
+int LoadPatternsFromFlags(const FlagMap& flags, const char* command,
+                          LabelDictionary* dict,
+                          std::vector<ParsedPattern>* patterns) {
+  std::string path = GetFlag(flags, "queries", "");
+  if (path.empty()) {
+    std::fprintf(stderr, "%s needs --queries <patterns file>\n", command);
+    return 1;
+  }
+  Status s = LoadPatternsFromFile(path, dict, patterns);
+  if (!s.ok()) return Fail(s);
+  if (patterns->empty()) {
+    std::fprintf(stderr, "no patterns in %s\n", path.c_str());
+    return 1;
+  }
+  return 0;
+}
+
 int CmdBench(const FlagMap& flags) {
   gen::Dataset ds;
   if (int rc = LoadDataset(flags, &ds); rc != 0) return rc;
-  std::string queries_path = GetFlag(flags, "queries", "");
-  if (queries_path.empty()) {
-    std::fprintf(stderr, "bench needs --queries <patterns file>\n");
-    return 1;
-  }
   std::vector<ParsedPattern> patterns;
-  Status s = LoadPatternsFromFile(queries_path, &ds.dict, &patterns);
-  if (!s.ok()) return Fail(s);
-  if (patterns.empty()) {
-    std::fprintf(stderr, "no patterns in %s\n", queries_path.c_str());
-    return 1;
-  }
+  int rc = LoadPatternsFromFlags(flags, "bench", &ds.dict, &patterns);
+  if (rc != 0) return rc;
 
   IndexOptions idx = IndexOptionsFromFlags(flags);
   WallTimer build_timer;
   OntologyIndex index = OntologyIndex::Build(ds.graph, ds.ontology, idx);
   std::printf("index built in %.1f ms; %zu queries from %s\n",
               build_timer.ElapsedMillis(), patterns.size(),
-              queries_path.c_str());
+              GetFlag(flags, "queries", "").c_str());
 
   QueryOptions options;
   options.theta = GetDouble(flags, "theta", options.theta);
@@ -410,128 +421,41 @@ int CmdBench(const FlagMap& flags) {
   return 0;
 }
 
-// serve-bench with --shards N: the same closed loop driven through the
-// scatter-gather ShardedQueryService instead of a single QueryService.
-int CmdServeBenchSharded(const FlagMap& flags, size_t num_shards) {
-  if (!GetFlag(flags, "snapshot", "").empty()) {
+// --shards / --shard-policy / --halo, shared by serve-bench and
+// ingest-bench.  Returns false (after printing why) on a bad policy.
+// Without --shards the other two flags are unused and not parsed.
+bool ShardOptionsFromFlags(const FlagMap& flags, ShardOptions* out) {
+  out->num_shards = GetSize(flags, "shards", 0);
+  if (out->num_shards == 0) return true;
+  std::string policy = GetFlag(flags, "shard-policy", "hash");
+  if (policy == "range") {
+    out->policy = ShardPolicy::kRange;
+  } else if (policy != "hash") {
+    std::fprintf(stderr, "--shard-policy must be hash or range\n");
+    return false;
+  }
+  out->halo_radius =
+      static_cast<uint32_t>(GetSize(flags, "halo", out->halo_radius));
+  return true;
+}
+
+int CmdServeBench(const FlagMap& flags) {
+  ShardOptions shard_options;
+  if (!ShardOptionsFromFlags(flags, &shard_options)) return 1;
+  const bool sharded = shard_options.num_shards > 0;
+  // The single-engine service starts either from a binary snapshot
+  // (sub-second cold start) or by loading text files and building the
+  // index here; the sharded one builds per-shard engines from the files.
+  std::string snapshot_path = GetFlag(flags, "snapshot", "");
+  if (sharded && !snapshot_path.empty()) {
     std::fprintf(stderr,
                  "--shards builds per-shard engines from --graph/--ontology;"
                  " --snapshot is not supported\n");
     return 1;
   }
   gen::Dataset ds;
-  if (int rc = LoadDataset(flags, &ds); rc != 0) return rc;
-
-  std::string queries_path = GetFlag(flags, "queries", "");
-  if (queries_path.empty()) {
-    std::fprintf(stderr, "serve-bench needs --queries <patterns file>\n");
-    return 1;
-  }
-  std::vector<ParsedPattern> patterns;
-  Status s = LoadPatternsFromFile(queries_path, &ds.dict, &patterns);
-  if (!s.ok()) return Fail(s);
-  if (patterns.empty()) {
-    std::fprintf(stderr, "no patterns in %s\n", queries_path.c_str());
-    return 1;
-  }
-
-  QueryOptions options;
-  options.theta = GetDouble(flags, "theta", options.theta);
-  options.k = GetSize(flags, "k", options.k);
-  size_t threads = GetSize(flags, "threads", 4);
-  if (threads == 0) threads = 1;
-  size_t requests = GetSize(flags, "requests", 200);
-  size_t update_interval_ms = GetSize(flags, "update-interval-ms", 0);
-
-  ServeOptions serve;
-  serve.cache_capacity = GetSize(flags, "cache", serve.cache_capacity);
-  serve.default_deadline_ms = GetDouble(flags, "deadline-ms", 0.0);
-  serve.max_inflight = GetSize(flags, "max-inflight", 0);
-
-  ShardOptions shard_options;
-  shard_options.num_shards = num_shards;
-  std::string policy = GetFlag(flags, "shard-policy", "hash");
-  if (policy == "range") {
-    shard_options.policy = ShardPolicy::kRange;
-  } else if (policy != "hash") {
-    std::fprintf(stderr, "--shard-policy must be hash or range\n");
-    return 1;
-  }
-  shard_options.halo_radius = static_cast<uint32_t>(
-      GetSize(flags, "halo", shard_options.halo_radius));
-
-  std::vector<EdgeTriple> edges = ds.graph.EdgeList();
-  WallTimer startup_timer;
-  ShardedQueryService service(ds.graph, ds.ontology,
-                              IndexOptionsFromFlags(flags), shard_options,
-                              serve);
-  std::printf("%zu shard engines (%s, halo %u) built in %.1f ms; serving "
-              "%zu patterns on %zu client threads (%zu requests each, "
-              "cache %zu)\n",
-              service.num_shards(), policy.c_str(),
-              shard_options.halo_radius, startup_timer.ElapsedMillis(),
-              patterns.size(), threads, requests, serve.cache_capacity);
-
-  std::atomic<bool> stop{false};
-  std::thread writer;
-  uint64_t toggles = 0;
-  if (update_interval_ms > 0 && !edges.empty()) {
-    EdgeTriple e = edges.front();
-    writer = std::thread([&service, &stop, &toggles, e,
-                          update_interval_ms] {
-      while (!stop.load(std::memory_order_acquire)) {
-        GraphUpdate update =
-            toggles % 2 == 0 ? GraphUpdate::Delete(e.from, e.to, e.label)
-                             : GraphUpdate::Insert(e.from, e.to, e.label);
-        (void)service.ApplyUpdate(update);
-        ++toggles;
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(update_interval_ms));
-      }
-      if (toggles % 2 == 1) {  // leave the graph as we found it
-        (void)service.ApplyUpdate(GraphUpdate::Insert(e.from, e.to,
-                                                      e.label));
-        ++toggles;
-      }
-    });
-  }
-
-  WallTimer run_timer;
-  RunConcurrently(threads, [&](size_t tid) {
-    for (size_t it = 0; it < requests; ++it) {
-      const Graph& q = patterns[(it + tid * 7) % patterns.size()].query;
-      (void)service.Query(q, options);
-    }
-  });
-  double run_ms = run_timer.ElapsedMillis();
-  stop.store(true, std::memory_order_release);
-  if (writer.joinable()) writer.join();
-
-  ServeStats stats = service.Stats();
-  std::printf("served %llu queries in %.1f ms (%.0f qps)",
-              static_cast<unsigned long long>(stats.queries), run_ms,
-              run_ms > 0.0 ? 1000.0 * static_cast<double>(stats.queries) /
-                                 run_ms
-                           : 0.0);
-  if (toggles > 0) {
-    std::printf(", %llu routed update batches",
-                static_cast<unsigned long long>(toggles));
-  }
-  std::printf("\n");
-  std::fputs(stats.ToString().c_str(), stdout);
-  return 0;
-}
-
-int CmdServeBench(const FlagMap& flags) {
-  if (size_t shards = GetSize(flags, "shards", 0); shards > 0) {
-    return CmdServeBenchSharded(flags, shards);
-  }
-  // The service starts either from a binary snapshot (sub-second cold
-  // start) or by loading text files and building the index here.
-  gen::Dataset ds;
   std::optional<QueryEngine> engine;
   WallTimer startup_timer;
-  std::string snapshot_path = GetFlag(flags, "snapshot", "");
   if (!snapshot_path.empty()) {
     std::unique_ptr<QueryEngine> loaded;
     Status s = LoadEngineSnapshot(snapshot_path, &ds.dict, &loaded);
@@ -539,23 +463,16 @@ int CmdServeBench(const FlagMap& flags) {
     engine.emplace(std::move(*loaded));
   } else {
     if (int rc = LoadDataset(flags, &ds); rc != 0) return rc;
-    engine.emplace(std::move(ds.graph), std::move(ds.ontology),
-                   IndexOptionsFromFlags(flags));
+    if (!sharded) {
+      engine.emplace(std::move(ds.graph), std::move(ds.ontology),
+                     IndexOptionsFromFlags(flags));
+    }
   }
   double startup_ms = startup_timer.ElapsedMillis();
 
-  std::string queries_path = GetFlag(flags, "queries", "");
-  if (queries_path.empty()) {
-    std::fprintf(stderr, "serve-bench needs --queries <patterns file>\n");
-    return 1;
-  }
   std::vector<ParsedPattern> patterns;
-  Status s = LoadPatternsFromFile(queries_path, &ds.dict, &patterns);
-  if (!s.ok()) return Fail(s);
-  if (patterns.empty()) {
-    std::fprintf(stderr, "no patterns in %s\n", queries_path.c_str());
-    return 1;
-  }
+  int rc = LoadPatternsFromFlags(flags, "serve-bench", &ds.dict, &patterns);
+  if (rc != 0) return rc;
 
   QueryOptions options;
   options.theta = GetDouble(flags, "theta", options.theta);
@@ -563,41 +480,64 @@ int CmdServeBench(const FlagMap& flags) {
   size_t threads = GetSize(flags, "threads", 4);
   if (threads == 0) threads = 1;
   size_t requests = GetSize(flags, "requests", 200);
-  size_t update_interval_ms = GetSize(flags, "update-interval-ms", 0);
 
   ServeOptions serve;
   serve.cache_capacity = GetSize(flags, "cache", serve.cache_capacity);
   serve.default_deadline_ms = GetDouble(flags, "deadline-ms", 0.0);
   serve.max_inflight = GetSize(flags, "max-inflight", 0);
 
-  // The engine owns its graph; keep an edge to toggle before handing it
-  // to the service.
-  std::vector<EdgeTriple> edges = engine->graph().EdgeList();
-  QueryService service(std::move(*engine), serve);
-  std::printf("engine %s in %.1f ms; serving %zu patterns on %zu "
-              "client threads (%zu requests each, cache %zu)\n",
-              snapshot_path.empty() ? "built" : "loaded from snapshot",
-              startup_ms, patterns.size(), threads, requests,
-              serve.cache_capacity);
+  // One closed loop over the front end of either tier: --threads clients
+  // issue --requests queries each while, with --update-interval-ms > 0, a
+  // writer toggles the first edge (kept before the service takes the
+  // graph) at that period.
+  std::vector<EdgeTriple> edges =
+      sharded ? ds.graph.EdgeList() : engine->graph().EdgeList();
+  std::optional<ShardedQueryService> sharded_service;
+  std::optional<QueryService> single_service;
+  ServeFrontEnd* front = nullptr;
+  if (sharded) {
+    WallTimer build_timer;
+    sharded_service.emplace(ds.graph, ds.ontology,
+                            IndexOptionsFromFlags(flags), shard_options,
+                            serve);
+    std::printf("%zu shard engines (%s, halo %u) built in %.1f ms; serving "
+                "%zu patterns on %zu client threads (%zu requests each, "
+                "cache %zu)\n",
+                sharded_service->num_shards(),
+                shard_options.policy == ShardPolicy::kRange ? "range"
+                                                            : "hash",
+                shard_options.halo_radius, build_timer.ElapsedMillis(),
+                patterns.size(), threads, requests, serve.cache_capacity);
+    front = sharded_service->front_end();
+  } else {
+    single_service.emplace(std::move(*engine), serve);
+    std::printf("engine %s in %.1f ms; serving %zu patterns on %zu "
+                "client threads (%zu requests each, cache %zu)\n",
+                snapshot_path.empty() ? "built" : "loaded from snapshot",
+                startup_ms, patterns.size(), threads, requests,
+                serve.cache_capacity);
+    front = single_service->front_end();
+  }
 
+  size_t update_interval_ms = GetSize(flags, "update-interval-ms", 0);
   std::atomic<bool> stop{false};
   std::thread writer;
   uint64_t toggles = 0;
   if (update_interval_ms > 0 && !edges.empty()) {
     EdgeTriple e = edges.front();
-    writer = std::thread([&service, &stop, &toggles, e,
-                          update_interval_ms] {
+    writer = std::thread([front, &stop, &toggles, e, update_interval_ms] {
       while (!stop.load(std::memory_order_acquire)) {
         GraphUpdate update =
             toggles % 2 == 0 ? GraphUpdate::Delete(e.from, e.to, e.label)
                              : GraphUpdate::Insert(e.from, e.to, e.label);
-        service.ApplyUpdate(update);
+        (void)front->ApplyUpdates({update});
         ++toggles;
         std::this_thread::sleep_for(
             std::chrono::milliseconds(update_interval_ms));
       }
       if (toggles % 2 == 1) {  // leave the graph as we found it
-        service.ApplyUpdate(GraphUpdate::Insert(e.from, e.to, e.label));
+        (void)front->ApplyUpdates(
+            {GraphUpdate::Insert(e.from, e.to, e.label)});
         ++toggles;
       }
     });
@@ -607,41 +547,86 @@ int CmdServeBench(const FlagMap& flags) {
   RunConcurrently(threads, [&](size_t tid) {
     for (size_t it = 0; it < requests; ++it) {
       const Graph& q = patterns[(it + tid * 7) % patterns.size()].query;
-      (void)service.Query(q, options);
+      (void)front->Query(q, options);
     }
   });
   double run_ms = run_timer.ElapsedMillis();
   stop.store(true, std::memory_order_release);
   if (writer.joinable()) writer.join();
 
-  ServeStats stats = service.Stats();
+  ServeStats stats = front->Stats();
   std::printf("served %llu queries in %.1f ms (%.0f qps)",
               static_cast<unsigned long long>(stats.queries), run_ms,
               run_ms > 0.0 ? 1000.0 * static_cast<double>(stats.queries) /
                                  run_ms
                            : 0.0);
   if (toggles > 0) {
-    std::printf(", %llu update batches",
-                static_cast<unsigned long long>(toggles));
+    std::printf(", %llu %supdate batches",
+                static_cast<unsigned long long>(toggles),
+                sharded ? "routed " : "");
   }
   std::printf("\n");
   std::fputs(stats.ToString().c_str(), stdout);
   return 0;
 }
 
-// Shared driver for ingest-bench: a producer thread streams churn updates
-// through an IngestPipeline into `service` (single-engine or sharded, via
-// the matching sink) while reader threads run closed-loop over the
-// patterns.  Prints the pipeline and service stats when the stream drains.
-template <typename Service, typename Sink>
-int RunIngestBench(Service* service, const Graph& seed_graph,
-                   const std::vector<ParsedPattern>& patterns,
-                   const QueryOptions& options, const FlagMap& flags) {
+int CmdIngestBench(const FlagMap& flags) {
+  ShardOptions shard_options;
+  if (!ShardOptionsFromFlags(flags, &shard_options)) return 1;
+  gen::Dataset ds;
+  if (int rc = LoadDataset(flags, &ds); rc != 0) return rc;
+  if (ds.graph.num_edges() == 0) {
+    std::fprintf(stderr, "ingest-bench needs a graph with edges\n");
+    return 1;
+  }
+
+  std::vector<ParsedPattern> patterns;
+  int rc = LoadPatternsFromFlags(flags, "ingest-bench", &ds.dict, &patterns);
+  if (rc != 0) return rc;
+
+  QueryOptions options;
+  options.theta = GetDouble(flags, "theta", options.theta);
+  options.k = GetSize(flags, "k", options.k);
+
+  ServeOptions serve;
+  serve.cache_capacity = GetSize(flags, "cache", serve.cache_capacity);
+  serve.default_deadline_ms = GetDouble(flags, "deadline-ms", 100.0);
+  serve.max_inflight = GetSize(flags, "max-inflight", 0);
+
+  // The churn stream needs the seed graph after the service takes it.
+  Graph seed_graph = ds.graph;
+
+  // A producer thread streams churn updates through an IngestPipeline
+  // into the front end of either tier while reader threads run closed-loop
+  // over the patterns; the pipeline and service stats print on drain.
   size_t threads = GetSize(flags, "threads", 2);
+  WallTimer startup_timer;
+  std::optional<ShardedQueryService> sharded_service;
+  std::optional<QueryService> single_service;
+  ServeFrontEnd* front = nullptr;
+  if (shard_options.num_shards > 0) {
+    sharded_service.emplace(ds.graph, ds.ontology,
+                            IndexOptionsFromFlags(flags), shard_options,
+                            serve);
+    std::printf("%zu shard engines built in %.1f ms; churning under "
+                "%zu reader threads\n",
+                sharded_service->num_shards(), startup_timer.ElapsedMillis(),
+                threads);
+    front = sharded_service->front_end();
+  } else {
+    single_service.emplace(
+        QueryEngine(std::move(ds.graph), std::move(ds.ontology),
+                    IndexOptionsFromFlags(flags)),
+        serve);
+    std::printf("engine built in %.1f ms; churning under %zu reader "
+                "threads\n",
+                startup_timer.ElapsedMillis(), threads);
+    front = single_service->front_end();
+  }
   if (threads == 0) threads = 1;
   size_t steps = GetSize(flags, "steps", 400);
 
-  Sink sink(service);
+  ServiceSink sink(front);
   IngestOptions io;
   io.max_batch = GetSize(flags, "batch", io.max_batch);
   io.max_linger_ms = GetDouble(flags, "linger-ms", io.max_linger_ms);
@@ -672,7 +657,7 @@ int RunIngestBench(Service* service, const Graph& seed_graph,
     size_t it = 0;
     while (!done.load(std::memory_order_acquire)) {
       const Graph& q = patterns[(it + tid * 7) % patterns.size()].query;
-      (void)service->Query(q, options);
+      (void)front->Query(q, options);
       ++it;
     }
   });
@@ -680,12 +665,12 @@ int RunIngestBench(Service* service, const Graph& seed_graph,
   pipeline.Stop();
 
   IngestStats ingest = pipeline.Stats();
-  ServeStats stats = service->Stats();
+  ServeStats stats = front->Stats();
   AugmentServeStats(pipeline, &stats);
   std::printf("drained %llu updates in %llu batches over %.1f ms wall "
               "(%.4f ms/batch in-lock apply)\n",
-              static_cast<unsigned long long>(ingest.applied +
-                                              ingest.skipped),
+              static_cast<unsigned long long>(
+                  ingest.applied + ingest.skipped + ingest.invalid),
               static_cast<unsigned long long>(ingest.batches), run_ms,
               stats.update_batches > 0
                   ? stats.write_apply_us / 1000.0 /
@@ -694,75 +679,6 @@ int RunIngestBench(Service* service, const Graph& seed_graph,
   std::fputs(ingest.ToString().c_str(), stdout);
   std::fputs(stats.ToString().c_str(), stdout);
   return 0;
-}
-
-int CmdIngestBench(const FlagMap& flags) {
-  gen::Dataset ds;
-  if (int rc = LoadDataset(flags, &ds); rc != 0) return rc;
-  if (ds.graph.num_edges() == 0) {
-    std::fprintf(stderr, "ingest-bench needs a graph with edges\n");
-    return 1;
-  }
-
-  std::string queries_path = GetFlag(flags, "queries", "");
-  if (queries_path.empty()) {
-    std::fprintf(stderr, "ingest-bench needs --queries <patterns file>\n");
-    return 1;
-  }
-  std::vector<ParsedPattern> patterns;
-  Status s = LoadPatternsFromFile(queries_path, &ds.dict, &patterns);
-  if (!s.ok()) return Fail(s);
-  if (patterns.empty()) {
-    std::fprintf(stderr, "no patterns in %s\n", queries_path.c_str());
-    return 1;
-  }
-
-  QueryOptions options;
-  options.theta = GetDouble(flags, "theta", options.theta);
-  options.k = GetSize(flags, "k", options.k);
-
-  ServeOptions serve;
-  serve.cache_capacity = GetSize(flags, "cache", serve.cache_capacity);
-  serve.default_deadline_ms = GetDouble(flags, "deadline-ms", 100.0);
-  serve.max_inflight = GetSize(flags, "max-inflight", 0);
-
-  // The churn stream needs the seed graph after the service takes it.
-  Graph seed_graph = ds.graph;
-
-  if (size_t shards = GetSize(flags, "shards", 0); shards > 0) {
-    ShardOptions shard_options;
-    shard_options.num_shards = shards;
-    std::string policy = GetFlag(flags, "shard-policy", "hash");
-    if (policy == "range") {
-      shard_options.policy = ShardPolicy::kRange;
-    } else if (policy != "hash") {
-      std::fprintf(stderr, "--shard-policy must be hash or range\n");
-      return 1;
-    }
-    shard_options.halo_radius = static_cast<uint32_t>(
-        GetSize(flags, "halo", shard_options.halo_radius));
-    WallTimer startup_timer;
-    ShardedQueryService service(ds.graph, ds.ontology,
-                                IndexOptionsFromFlags(flags),
-                                shard_options, serve);
-    std::printf("%zu shard engines built in %.1f ms; churning under "
-                "%zu reader threads\n",
-                service.num_shards(), startup_timer.ElapsedMillis(),
-                GetSize(flags, "threads", 2));
-    return RunIngestBench<ShardedQueryService, ShardedServiceSink>(
-        &service, seed_graph, patterns, options, flags);
-  }
-
-  WallTimer startup_timer;
-  QueryService service(
-      QueryEngine(std::move(ds.graph), std::move(ds.ontology),
-                  IndexOptionsFromFlags(flags)),
-      serve);
-  std::printf("engine built in %.1f ms; churning under %zu reader "
-              "threads\n",
-              startup_timer.ElapsedMillis(), GetSize(flags, "threads", 2));
-  return RunIngestBench<QueryService, QueryServiceSink>(
-      &service, seed_graph, patterns, options, flags);
 }
 
 int CmdStats(const FlagMap& flags) {

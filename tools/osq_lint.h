@@ -59,8 +59,9 @@
 //                          global acquired-before DAG over mutex member
 //                          names; acquiring a mutex while already holding
 //                          one that the DAG (transitively) orders after it
-//                          is flagged.  First edges: the write-intent gate
-//                          precedes the snapshot lock in both serving tiers.
+//                          is flagged.  First edge: the write-intent gate
+//                          precedes the snapshot lock in the serving front
+//                          end (serve/front_end.h), which both tiers share.
 //   osq-layering           Module-dependency DAG over src/ includes:
 //                          common/graph/ontology/core/query/gen/baseline
 //                          (tier 0) <- serve <- shard; ingest may depend on
